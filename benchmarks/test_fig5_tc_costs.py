@@ -7,7 +7,7 @@ from repro.runtime import figure5_trusted_counter_costs, print_rows
 
 def test_fig5_trusted_counter_costs(benchmark):
     rows = benchmark.pedantic(
-        lambda: figure5_trusted_counter_costs(BENCH_SCALE), rounds=1, iterations=1)
+        lambda: figure5_trusted_counter_costs(BENCH_SCALE).rows, rounds=1, iterations=1)
     print_rows("Figure 5: Pbft + trusted counter / signature attestation", rows)
     by_bar = {row["bar"]: row["throughput_tx_s"] for row in rows}
     # Bar [a] is plain Pbft; every instrumented bar adds overhead (within a

@@ -7,7 +7,7 @@ from repro.runtime import figure6_batching, print_rows
 
 def test_fig6_batching(benchmark):
     rows = benchmark.pedantic(
-        lambda: figure6_batching(BENCH_SCALE), rounds=1, iterations=1)
+        lambda: figure6_batching(BENCH_SCALE).rows, rounds=1, iterations=1)
     print_rows("Figure 6(iv)/(v): batching", rows)
 
     smallest = min(BENCH_SCALE.batch_values)

@@ -7,7 +7,7 @@ from repro.runtime import figure6_scalability, print_rows
 
 def test_fig6_scalability(benchmark):
     rows = benchmark.pedantic(
-        lambda: figure6_scalability(BENCH_SCALE), rounds=1, iterations=1)
+        lambda: figure6_scalability(BENCH_SCALE).rows, rounds=1, iterations=1)
     print_rows("Figure 6(ii)/(iii): scalability", rows)
 
     smallest_f = min(BENCH_SCALE.f_values)

@@ -7,7 +7,7 @@ from repro.runtime import figure6_throughput_latency, print_rows
 
 def test_fig6_throughput_vs_latency(benchmark):
     rows = benchmark.pedantic(
-        lambda: figure6_throughput_latency(BENCH_SCALE), rounds=1, iterations=1)
+        lambda: figure6_throughput_latency(BENCH_SCALE).rows, rounds=1, iterations=1)
     print_rows("Figure 6(i): throughput vs latency", rows)
     peak = throughput_by_protocol(rows)
 

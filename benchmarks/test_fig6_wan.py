@@ -8,7 +8,7 @@ from repro.runtime import figure6_wan, print_rows
 def test_fig6_wan(benchmark):
     rows = benchmark.pedantic(
         lambda: figure6_wan(BENCH_SCALE, protocols=("pbft", "minbft", "flexi-bft",
-                                                    "flexi-zz")),
+                                                    "flexi-zz")).rows,
         rounds=1, iterations=1)
     print_rows("Figure 6(vi)/(vii): regions", rows)
 

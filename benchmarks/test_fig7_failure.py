@@ -18,7 +18,7 @@ from repro.runtime import (
 def test_fig7_single_replica_failure(benchmark):
     rows = benchmark.pedantic(
         lambda: figure7_failure(BENCH_SCALE, protocols=("flexi-zz", "minzz", "zyzzyva"),
-                                f_values=(1,)),
+                                f_values=(1,)).rows,
         rounds=1, iterations=1)
     print_rows("Figure 7: one non-primary replica crashed", rows)
     by_protocol = {row["protocol"]: row for row in rows}

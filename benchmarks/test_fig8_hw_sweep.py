@@ -7,7 +7,7 @@ from repro.runtime import figure8_hardware_sweep, print_rows
 
 def test_fig8_hardware_latency_sweep(benchmark):
     rows = benchmark.pedantic(
-        lambda: figure8_hardware_sweep(BENCH_SCALE), rounds=1, iterations=1)
+        lambda: figure8_hardware_sweep(BENCH_SCALE).rows, rounds=1, iterations=1)
     print_rows("Figure 8: trusted counter access cost sweep", rows)
 
     fastest = min(BENCH_SCALE.tc_latencies_ms)

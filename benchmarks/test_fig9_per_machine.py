@@ -7,7 +7,7 @@ from repro.runtime import figure9_throughput_per_machine, print_rows
 
 def test_fig9_throughput_per_machine(benchmark):
     rows = benchmark.pedantic(
-        lambda: figure9_throughput_per_machine(BENCH_SCALE), rounds=1, iterations=1)
+        lambda: figure9_throughput_per_machine(BENCH_SCALE).rows, rounds=1, iterations=1)
     print_rows("Figure 9: throughput per machine", rows)
 
     for f in BENCH_SCALE.f_values:

@@ -22,7 +22,7 @@ def test_figure_recovery_dip_and_rejoin(benchmark):
     rows = benchmark.pedantic(
         lambda: figure_recovery(RECOVERY_SCALE,
                                 protocols=("minbft", "flexi-bft"),
-                                crash_s=0.4, restart_s=0.7, end_s=1.4),
+                                crash_s=0.4, restart_s=0.7, end_s=1.4).rows,
         rounds=1, iterations=1)
     print_rows("Recovery: dip depth and time-to-recover", rows)
     assert len(rows) == 4

@@ -26,7 +26,8 @@ SHARD_COUNTS = (1, 2, 4)
 
 def test_sharding_scaleout(benchmark):
     rows = benchmark.pedantic(
-        lambda: figure_sharding_scaleout(SHARDING_SCALE, shard_counts=SHARD_COUNTS),
+        lambda: figure_sharding_scaleout(SHARDING_SCALE,
+                                         shard_counts=SHARD_COUNTS).rows,
         rounds=1, iterations=1)
     print_rows("Sharding scale-out: throughput vs. number of groups", rows)
 

@@ -29,9 +29,9 @@ from repro.runtime import DeploymentSpec, SMALL_SCALE, figure_recovery, print_ro
 
 
 def recovery_figure() -> None:
-    rows = figure_recovery(SMALL_SCALE, protocols=("minbft", "flexi-bft"),
-                           crash_s=0.5, restart_s=0.9, end_s=1.8)
-    print_rows("Recovery: crash at 0.5s, restart at 0.9s", rows)
+    result = figure_recovery(SMALL_SCALE, protocols=("minbft", "flexi-bft"),
+                             crash_s=0.5, restart_s=0.9, end_s=1.8)
+    print_rows("Recovery: crash at 0.5s, restart at 0.9s", result.rows)
 
 
 def partition_lag_demo() -> None:

@@ -16,9 +16,9 @@ or, equivalently, straight from the CLI::
     python -m repro live --protocol flexibft
 """
 
-from repro.realtime import run_live_point
 from repro.runtime import DeploymentSpec
-from repro.runtime.experiments import ExperimentScale, build_config, print_rows
+from repro.runtime.experiments import (ExperimentScale, build_config,
+                                       print_rows, run_point)
 
 # Small sizing: live runs pay real network latency and real crypto, so a few
 # hundred requests complete in well under a second.
@@ -31,7 +31,7 @@ SCALE = ExperimentScale(
 def main() -> None:
     rows = []
     for protocol in ("minbft", "flexi-bft"):
-        result = run_live_point(build_config(protocol, SCALE))
+        result = run_point(build_config(protocol, SCALE), backend="live")
         row = {"protocol": protocol, "backend": "live"}
         row.update(result.as_row())
         rows.append(row)

@@ -33,7 +33,8 @@ import inspect
 import sys
 from typing import Optional
 
-from .runtime import ALL_EXPERIMENTS, PAPER_SCALE, SMALL_SCALE, print_rows
+from .runtime import (ALL_EXPERIMENTS, PAPER_SCALE, SMALL_SCALE, FigureResult,
+                      print_rows)
 
 SCALES = {"small": SMALL_SCALE, "paper": PAPER_SCALE}
 
@@ -123,10 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     live.add_argument("--max-seconds", type=float, default=None,
                       help="wall-clock cap on the run (default: the scale's "
                            "simulated-time cap)")
-    live.add_argument("--unsafe-pickle", action="store_true",
-                      help="frame TCP payloads with pickle instead of the "
-                           "binary wire codec (trusted localhost ONLY; "
-                           "legacy escape hatch, removed next release)")
     live.add_argument("--trace", default=None, metavar="FILE",
                       help="enable structured tracing and write the retained "
                            "events to FILE as JSON lines at the end of the run")
@@ -320,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_experiment(figure: str, scale_name: str,
-                   protocols: Optional[list[str]]) -> list[dict]:
+                   protocols: Optional[list[str]]) -> FigureResult:
     """Dispatch one experiment, forwarding ``protocols`` when it accepts it."""
     experiment = ALL_EXPERIMENTS[figure]
     kwargs = {}
@@ -343,8 +340,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{name.ljust(width)}  {doc}")
         return 0
     if args.command == "run":
-        rows = run_experiment(args.figure, args.scale, args.protocols)
-        print_rows(f"{args.figure} ({args.scale} scale)", rows)
+        result = run_experiment(args.figure, args.scale, args.protocols)
+        print_rows(f"{args.figure} ({args.scale} scale)", result.rows)
         return 0
     if args.command == "live":
         return run_live(args)
@@ -379,8 +376,7 @@ def _resolve_protocol(name: str) -> str:
     return matches[0]
 
 
-def spec_from_args(args, *, wire_format: Optional[str] = None,
-                   observe=None) -> "object":
+def spec_from_args(args, *, observe=None) -> "object":
     """One :class:`DeploymentSpec` from the shared deployment-shape flags.
 
     The single builder behind ``live`` and ``diag`` (and the cell shape the
@@ -395,7 +391,7 @@ def spec_from_args(args, *, wire_format: Optional[str] = None,
                           batch_size=getattr(args, "batch_size", None))
     return DeploymentSpec(config, backend=args.backend,
                           num_shards=args.shards if args.sharded else None,
-                          wire_format=wire_format, observe=observe)
+                          observe=observe)
 
 
 def _observe_from_args(args) -> "object | None":
@@ -509,20 +505,10 @@ def run_live(args) -> int:
     if not backend.realtime:
         raise SystemExit(f"'repro live' needs a real-time backend; "
                          f"{args.backend!r} is the simulator")
-    wire_format = None
-    if args.unsafe_pickle:
-        if backend.name != "live-tcp":
-            raise SystemExit("--unsafe-pickle selects the TCP transport's "
-                             "framing; it needs --backend tcp")
-        print("WARNING: --unsafe-pickle frames payloads with pickle, which "
-              "executes arbitrary code on receipt. Trusted localhost only; "
-              "this escape hatch is removed next release.")
-        wire_format = "pickle"
     if args.health_out is not None and args.health_interval is None:
         raise SystemExit("--health-out needs --health-interval to produce "
                          "samples")
-    spec = spec_from_args(args, wire_format=wire_format,
-                          observe=_observe_from_args(args))
+    spec = spec_from_args(args, observe=_observe_from_args(args))
     cap_us = (None if args.max_seconds is None
               else args.max_seconds * 1_000_000.0)
     deployment = spec.build()

@@ -13,7 +13,7 @@ name       kernel                      transport
 ``sim``    deterministic ``Simulator`` discrete-event :class:`Network`
 ``live``   ``AsyncioKernel``           in-process asyncio queues
                                        (:class:`~repro.realtime.network.LiveNetwork`)
-``live-tcp`` ``AsyncioKernel``         length-prefixed frames over localhost
+``live-tcp`` ``AsyncioKernel``         versioned binary frames over localhost
                                        TCP sockets (:class:`~repro.net.tcp.TcpTransport`)
 ========== =========================== ======================================
 
@@ -64,17 +64,6 @@ class Backend:
 
     def _network_class(self) -> type:
         raise NotImplementedError
-
-    def with_wire_format(self, wire_format: str) -> "Backend":
-        """A copy of this backend using ``wire_format`` for framing.
-
-        Only transports with a real serialization boundary have a wire
-        format; the in-memory backends reject the request rather than
-        silently ignoring it.
-        """
-        raise ConfigurationError(
-            f"backend {self.name!r} has no wire format (messages never "
-            "leave the process); wire_format applies to live-tcp only")
 
     # -------------------------------------------------------------- running
     def run(self, kernel: Kernel, until_us: Micros,
@@ -179,42 +168,11 @@ class LiveBackend(_AsyncioBackend):
 class LiveTcpBackend(_AsyncioBackend):
     """Real asyncio event loop; messages cross localhost TCP sockets.
 
-    ``wire_format`` selects how envelopes are framed on the socket:
-    ``"binary"`` (default) is the versioned canonical codec in
-    :mod:`repro.net.wire`; ``"pickle"`` is the legacy escape hatch
-    (``--unsafe-pickle``), kept one release for migration only.
+    Envelopes are framed by the versioned binary codec in
+    :mod:`repro.net.wire`, the one wire format there is.
     """
 
-    WIRE_FORMATS = ("binary", "pickle")
-
     name = "live-tcp"
-
-    def __init__(self, wire_format: str = "binary") -> None:
-        if wire_format not in self.WIRE_FORMATS:
-            raise ConfigurationError(
-                f"unknown wire format {wire_format!r}; choose from "
-                f"{', '.join(self.WIRE_FORMATS)}")
-        self.wire_format = wire_format
-
-    def with_wire_format(self, wire_format: str) -> "LiveTcpBackend":
-        return LiveTcpBackend(wire_format=wire_format)
-
-    def _make_codec(self):
-        if self.wire_format == "pickle":
-            from .runtime.unsafe_pickle import UnsafePickleWireCodec
-
-            return UnsafePickleWireCodec()
-        from .net.wire import WireCodec
-
-        return WireCodec()
-
-    def build_network(self, kernel: Kernel, topology: "Topology",
-                      rng: "RngRegistry", config: "NetworkConfig") -> "Network":
-        network_class = self._network_class()
-        return network_class(kernel, topology, rng,
-                             jitter_fraction=config.jitter_fraction,
-                             per_message_wire_us=config.per_message_wire_us,
-                             wire_codec=self._make_codec())
 
     def _network_class(self) -> type:
         from .net.tcp import TcpTransport

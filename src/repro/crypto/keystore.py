@@ -75,18 +75,6 @@ class KeyStore:
         #: cache (the default).
         self._split_caches: Optional[dict[object, OrderedDict]] = None
 
-    def __getstate__(self) -> dict:
-        # The verification cache only removes redundant real-world HMAC work
-        # — simulated behaviour never depends on its contents — so snapshots
-        # (the warmed-deployment reuse in the recovery experiments) drop it
-        # rather than serialising up to 8192 cached encodings.  A restored
-        # store re-verifies and re-fills the cache.
-        state = dict(self.__dict__)
-        state["_verify_cache"] = OrderedDict()
-        if state["_split_caches"] is not None:
-            state["_split_caches"] = {}
-        return state
-
     def split_verify_cache_by_scope(self) -> None:
         """Give every scope its own LRU domain (each with the full size).
 

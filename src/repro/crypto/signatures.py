@@ -61,25 +61,12 @@ class SigningKey:
     copied per operation — ``HMAC.copy()`` skips re-deriving the key pads on
     every one of the thousands of signatures a run produces.  The resulting
     MAC values are identical to ``hmac.new(secret, tag + message)``.
-
-    The template is a C-level HMAC object that cannot be pickled or
-    deep-copied; since it is a pure function of the secret, copies simply
-    rebuild it (``__getstate__``/``__setstate__`` below), which keeps whole
-    deployments deep-copyable for warmed-snapshot reuse.
     """
 
     def __init__(self, identity: str, secret: bytes) -> None:
         self.identity = identity
         self._secret = secret
         self._template = hmac.new(secret, _SIG_TAG, hashlib.sha256)
-
-    def __getstate__(self) -> dict:
-        return {"identity": self.identity, "_secret": self._secret}
-
-    def __setstate__(self, state: dict) -> None:
-        self.identity = state["identity"]
-        self._secret = state["_secret"]
-        self._template = hmac.new(self._secret, _SIG_TAG, hashlib.sha256)
 
     def sign(self, message: Any) -> Signature:
         """Sign the canonical encoding of ``message``."""
@@ -108,18 +95,6 @@ class MacKey:
         self.receiver = receiver
         self._secret = secret
         self._template = hmac.new(secret, _MAC_TAG, hashlib.sha256)
-
-    def __getstate__(self) -> dict:
-        # The HMAC template cannot be copied/pickled; rebuild it (see
-        # SigningKey).
-        return {"sender": self.sender, "receiver": self.receiver,
-                "_secret": self._secret}
-
-    def __setstate__(self, state: dict) -> None:
-        self.sender = state["sender"]
-        self.receiver = state["receiver"]
-        self._secret = state["_secret"]
-        self._template = hmac.new(self._secret, _MAC_TAG, hashlib.sha256)
 
     def generate(self, message: Any) -> Mac:
         """Authenticate ``message`` from ``sender`` to ``receiver``."""

@@ -226,8 +226,6 @@ class Network:
     def _schedule_delivery(self, target: NetworkNode, envelope: Envelope,
                            context=None) -> None:
         """Arrange for ``envelope`` to reach ``target`` at its delivery time."""
-        # partial, not a lambda: in-flight deliveries must survive a deepcopy
-        # of the deployment (warmed-snapshot reuse in recovery experiments).
         # Deliveries are never cancelled, so prefer the kernel's handle-free
         # schedule_call fast path where the kernel offers one.
         schedule = getattr(self._sim, "schedule_call", None)

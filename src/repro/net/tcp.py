@@ -47,11 +47,10 @@ if TYPE_CHECKING:
 class TcpTransport(Network):
     """Point-to-point transport over localhost TCP with injected latency."""
 
-    def __init__(self, sim: "AsyncioKernel", *args,
-                 wire_codec: Optional[WireCodec] = None, **kwargs) -> None:
+    def __init__(self, sim: "AsyncioKernel", *args, **kwargs) -> None:
         super().__init__(sim, *args, **kwargs)
         self._kernel = sim
-        self._codec = wire_codec if wire_codec is not None else WireCodec()
+        self._codec = WireCodec()
         self._server: Optional[asyncio.AbstractServer] = None
         self._port: Optional[int] = None
         self._server_ready: Optional[asyncio.Event] = None
@@ -245,11 +244,6 @@ class TcpTransport(Network):
     def port(self) -> Optional[int]:
         """The localhost port the transport accepts frames on (once bound)."""
         return self._port
-
-    @property
-    def wire_codec(self) -> WireCodec:
-        """The codec framing every envelope this transport carries."""
-        return self._codec
 
     @property
     def queued_messages(self) -> int:

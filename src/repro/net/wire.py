@@ -12,7 +12,7 @@ Frame layout (big-endian)::
     offset  size  field
     0       2     magic       b"RB"
     2       1     version     WIRE_VERSION (currently 1)
-    3       1     flags       bit 0: payload is pickled (escape hatch only)
+    3       1     flags       bit 0: reserved, rejected
                               bit 1: a trace-context block precedes the
                               canonical payload (FLAG_TRACE)
     4       4     length      payload byte count, <= the enforced max frame
@@ -84,14 +84,13 @@ from ..obsv.trace import TraceContext
 WIRE_MAGIC = b"RB"
 #: current wire-protocol version; decoders accept exactly this version.
 WIRE_VERSION = 1
-#: flags bit: the payload is a pickle blob, not canonical bytes.  Only the
-#: explicit ``--unsafe-pickle`` escape-hatch codec ever sets or honours it.
-FLAG_PICKLE = 0x01
 #: flags bit: a :class:`~repro.obsv.trace.TraceContext` block precedes the
 #: canonical payload (see :func:`encode_trace_context`).  Untraced frames
 #: never set it and stay byte-identical to the pre-tracing format.
 FLAG_TRACE = 0x02
-_KNOWN_FLAGS = FLAG_PICKLE | FLAG_TRACE
+#: every flag bit a decoder accepts; any other bit (bit 0 included) is
+#: rejected by :func:`parse_header` before the payload is read.
+_KNOWN_FLAGS = FLAG_TRACE
 
 #: frame header: magic, version, flags, payload length.
 HEADER = struct.Struct(">2sBBI")
@@ -444,14 +443,21 @@ class _Decoder:
         data = self.data
         values = []
         append = values.append
-        for name_bytes, coerce in template:
-            if not data.startswith(name_bytes, self.pos):
-                raise self._fail(
-                    f"field mismatch in {name}: expected {name_bytes!r} "
-                    "(canonical declaration order)")
-            self.pos += len(name_bytes)
-            value = self._value(depth + 1)
-            append(coerce(value) if coerce is not None else value)
+        # One try around the whole loop (free on 3.11+): a coercer handed a
+        # value of the wrong shape (a scalar where a tuple field expects a
+        # container) raises TypeError, which must surface as a typed error.
+        try:
+            for name_bytes, coerce in template:
+                if not data.startswith(name_bytes, self.pos):
+                    raise self._fail(
+                        f"field mismatch in {name}: expected {name_bytes!r} "
+                        "(canonical declaration order)")
+                self.pos += len(name_bytes)
+                value = self._value(depth + 1)
+                append(coerce(value) if coerce is not None else value)
+        except TypeError as exc:
+            raise self._fail(
+                f"cannot coerce a field of {name}: {exc}") from None
         if self.pos >= len(data) or data[self.pos] != _END_DATACLASS:
             raise self._fail(f"unterminated dataclass {name}")
         self.pos += 1
@@ -573,8 +579,6 @@ class WireCodec:
     use to validate a header before allocating its payload.
     """
 
-    format_name = "binary"
-
     def __init__(self, registry: WireRegistry = WIRE_REGISTRY,
                  max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> None:
         self.registry = registry
@@ -609,11 +613,6 @@ class WireCodec:
     def decode_payload_traced(self, payload: bytes, flags: int = 0
                               ) -> tuple[Any, Optional[TraceContext]]:
         """Decode a payload; returns ``(value, trace context or None)``."""
-        if flags & FLAG_PICKLE:
-            raise MalformedWirePayload(
-                "frame carries a pickled payload, which this codec refuses "
-                "to execute; the sender must use the binary wire format "
-                "(or both ends must opt into --unsafe-pickle)")
         context = None
         if flags & FLAG_TRACE:
             context, consumed = decode_trace_context(payload)
@@ -640,7 +639,7 @@ class WireCodec:
         return self.decode_payload_traced(payload, flags)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"<WireCodec {self.format_name} v{WIRE_VERSION}>"
+        return f"<WireCodec v{WIRE_VERSION}>"
 
 
 def _register_support_types() -> None:

@@ -206,8 +206,7 @@ def scenario_recovery(scale: PerfScale) -> list[dict]:
     experiment = replace(scale.experiment, num_clients=params.num_clients)
     hardware_levels = None if params.both_hardware_levels else (
         SGX_ENCLAVE_COUNTER,)
-    # .rows: the digest gates on the bare row list (tuples and lists encode
-    # identically, but the FigureResult wrapper itself must not be digested).
+    # The digest gates on the bare row list, never the FigureResult wrapper.
     return list(figure_recovery(
         experiment, protocols=scale.recovery_protocols,
         hardware_levels=hardware_levels,
@@ -372,6 +371,19 @@ _LIVE_EXPERIMENT = ExperimentScale(
     warmup_batches=1, measured_batches=5, worker_threads=4,
     max_sim_seconds=30.0)
 
+
+def _live_rows(protocols: tuple[str, ...]) -> list[dict]:
+    """One live-backend row per protocol at the fixed live sizing."""
+    rows = []
+    for protocol in protocols:
+        config = build_config(protocol, _LIVE_EXPERIMENT)
+        result = run_point(config, backend="live")
+        row = {"protocol": protocol, "backend": "live"}
+        row.update(result.as_row())
+        rows.append(row)
+    return rows
+
+
 #: protocols driven end to end on the asyncio backend by ``live_smoke``.
 _LIVE_PROTOCOLS = ("minbft", "flexi-bft")
 
@@ -384,16 +396,7 @@ def scenario_live_smoke(scale: PerfScale) -> list[dict]:
     genuine wall-clock throughput/latency numbers and its result carries no
     determinism digest (see :func:`repro.perf.runner.run_scenario`).
     """
-    from ..realtime import run_live_point
-
-    rows = []
-    for protocol in _LIVE_PROTOCOLS:
-        config = build_config(protocol, _LIVE_EXPERIMENT)
-        result = run_live_point(config)
-        row = {"protocol": protocol, "backend": "live"}
-        row.update(result.as_row())
-        rows.append(row)
-    return rows
+    return _live_rows(_LIVE_PROTOCOLS)
 
 
 scenario_live_smoke.deterministic = False
@@ -416,16 +419,7 @@ def scenario_live_fig1(scale: PerfScale) -> list[dict]:
     HMAC costs and a real scheduler).  Non-deterministic, like every live
     scenario: no digest, gated on wall-clock only.
     """
-    from ..realtime import run_live_point
-
-    rows = []
-    for protocol in _LIVE_FIG1_PROTOCOLS:
-        config = build_config(protocol, _LIVE_EXPERIMENT)
-        result = run_live_point(config)
-        row = {"protocol": protocol, "backend": "live"}
-        row.update(result.as_row())
-        rows.append(row)
-    return rows
+    return _live_rows(_LIVE_FIG1_PROTOCOLS)
 
 
 scenario_live_fig1.deterministic = False
@@ -461,7 +455,6 @@ def scenario_live_recovery(scale: PerfScale) -> list[dict]:
     summary as the simulated ``recovery`` scenario, measured in real time.
     """
     from ..common.config import RecoveryConfig
-    from ..realtime import LiveDeployment
     from ..recovery import (
         FaultSchedule,
         crash_at,
@@ -469,6 +462,7 @@ def scenario_live_recovery(scale: PerfScale) -> list[dict]:
         restart_at,
     )
     from ..protocols.registry import get_protocol
+    from ..runtime.deployment import Deployment
 
     params = LiveRecoveryParams()
     crash_us = params.crash_s * 1_000_000.0
@@ -484,7 +478,8 @@ def scenario_live_recovery(scale: PerfScale) -> list[dict]:
             fsync_latency_us=20.0, replay_latency_us=5.0))
         schedule = FaultSchedule((crash_at(crashed, crash_us),
                                   restart_at(crashed, restart_us)))
-        deployment = LiveDeployment(config, fault_schedule=schedule)
+        deployment = Deployment(config, fault_schedule=schedule,
+                                backend="live")
         try:
             result = deployment.run_for(end_us)
             summary = recovery_summary(

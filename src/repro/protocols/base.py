@@ -352,10 +352,6 @@ class BaseReplica:
         context = None
         if tracer is not None:
             context = tracer.current
-        # partials, not lambdas, throughout the deferred-work paths: queued
-        # jobs must survive a deepcopy of the deployment (warmed-snapshot
-        # reuse in the recovery experiments) — deepcopy remaps a partial's
-        # bound method and arguments, but returns closures uncopied.
         self.workers.submit(cost, partial(self._process, payload,
                                           envelope.source, cost, context))
 

@@ -9,27 +9,21 @@ interfaces — but here the kernel is a real asyncio event loop
 configured injected latency (:class:`LiveNetwork`), and every HMAC-SHA256
 signature and MAC is computed and paid for in wall-clock time.
 
-:class:`LiveDeployment` mirrors the simulated
-:class:`~repro.runtime.deployment.Deployment` build/run/collect API and
-produces the same :class:`~repro.runtime.deployment.RunResult` row schema,
-so every analysis and figure path works on live runs too.
+There is no separate live deployment class: ``Deployment(config,
+backend="live")`` (or ``"live-tcp"``) builds the same deployment on this
+kernel, with the same build/run/collect API and the same
+:class:`~repro.runtime.deployment.RunResult` row schema, so every analysis
+and figure path works on live runs too.  :class:`ReplyVerifier`
+HMAC-checks every reply a live client accepts.
 """
 
 from .kernel import AsyncioKernel, LiveEvent
-from .deployment import (
-    LiveDeployment,
-    LiveShardedDeployment,
-    ReplyVerifier,
-    run_live_point,
-)
+from .deployment import ReplyVerifier
 from .network import LiveNetwork
 
 __all__ = [
     "AsyncioKernel",
-    "LiveDeployment",
     "LiveEvent",
     "LiveNetwork",
-    "LiveShardedDeployment",
     "ReplyVerifier",
-    "run_live_point",
 ]

@@ -1,15 +1,9 @@
-"""Live deployments: the unified deployment builders on a real event loop.
+"""Reply authentication for deployments on any backend.
 
-Since the deployment layer became backend-parameterized, these classes are
-thin shims: :class:`LiveDeployment` is exactly ``Deployment(config,
-backend="live")`` and :class:`LiveShardedDeployment` is ``ShardedDeployment``
-on a live backend — same build path, same run/collect API, same
-:class:`~repro.runtime.deployment.RunResult` row schema.  They survive as
-named classes because "a live deployment" is the unit experiments, examples
-and the CLI talk about, and because both pin live-specific defaults (the
-asyncio backend, a ``kernel`` attribute, context-managed teardown).
-
-What changes semantically on a live backend:
+A live run is ``Deployment(config, backend="live")`` (or ``"live-tcp"``, or
+the sharded builder on either): the same build path and run/collect API as
+the simulator, with the same :class:`~repro.runtime.deployment.RunResult`
+row schema.  What changes semantically on a live backend:
 
 * ``now`` is wall-clock, so throughput/latency rows report *real* numbers —
   including the real cost of HMAC-SHA256 signing and MAC generation, which
@@ -27,57 +21,12 @@ the run instead of completing a request.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from ..backends import Backend, resolve_backend
-from ..common.config import DeploymentConfig
 from ..common.errors import InvalidSignature
 from ..protocols.messages import Response, signed_part_bytes
-from ..runtime.deployment import Deployment, RunResult
+from ..runtime.deployment import Deployment
 from ..sharding.deployment import ShardedDeployment
-
-
-class LiveDeployment(Deployment):
-    """A fully wired live deployment of one protocol on an asyncio loop."""
-
-    def __init__(self, config: DeploymentConfig,
-                 backend: Union[str, Backend] = "live", **kwargs) -> None:
-        backend = resolve_backend(backend)
-        if not backend.realtime:
-            raise ValueError(
-                f"LiveDeployment needs a realtime backend, not {backend.name!r}"
-                "; use Deployment (or DeploymentSpec) for simulated runs")
-        super().__init__(config, backend=backend, **kwargs)
-
-    @property
-    def kernel(self):
-        """The asyncio kernel driving this deployment (alias of ``sim``)."""
-        return self.sim
-
-    def __enter__(self) -> "LiveDeployment":
-        return self
-
-
-class LiveShardedDeployment(ShardedDeployment):
-    """*K* consensus groups on one real event loop (queues or TCP)."""
-
-    def __init__(self, config, fault_schedules=None,
-                 backend: Union[str, Backend] = "live") -> None:
-        backend = resolve_backend(backend)
-        if not backend.realtime:
-            raise ValueError(
-                f"LiveShardedDeployment needs a realtime backend, not "
-                f"{backend.name!r}; use ShardedDeployment for simulated runs")
-        super().__init__(config, fault_schedules=fault_schedules,
-                         backend=backend)
-
-    @property
-    def kernel(self):
-        """The asyncio kernel driving every group (alias of ``sim``)."""
-        return self.sim
-
-    def __enter__(self) -> "LiveShardedDeployment":
-        return self
 
 
 class ReplyVerifier:
@@ -122,17 +71,3 @@ class ReplyVerifier:
             receive(envelope)
         return verified_receive
 
-
-def run_live_point(config: DeploymentConfig,
-                   target_requests: Optional[int] = None,
-                   max_wall_seconds: Optional[float] = None,
-                   backend: Union[str, Backend] = "live") -> RunResult:
-    """Build, run and tear down one live deployment; returns its result."""
-    deployment = LiveDeployment(config, backend=backend)
-    try:
-        cap_us = (None if max_wall_seconds is None
-                  else max_wall_seconds * 1_000_000.0)
-        return deployment.run_until_target(target_requests=target_requests,
-                                           max_sim_time_us=cap_us)
-    finally:
-        deployment.close()

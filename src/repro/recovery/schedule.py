@@ -160,8 +160,7 @@ class FaultSchedule:
     def install(self, deployment: "Deployment") -> None:
         """Arm one simulator timer per event against ``deployment``."""
         for event in self.events:
-            # partial, not a lambda: pending fault events must survive a
-            # deepcopy of the deployment (warmed-snapshot reuse).
+            # partial, not a lambda: it binds this iteration's event.
             deployment.sim.schedule_at(
                 event.at_us, partial(self._fire, deployment, event))
 

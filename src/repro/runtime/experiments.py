@@ -3,21 +3,19 @@
 Each ``figure*`` function is a thin *matrix definition*: it expands its
 sweep into content-hashed :class:`~repro.matrix.cell.Cell` objects, runs
 them through the :class:`~repro.matrix.runner.MatrixRunner`, and returns a
-:class:`FigureResult` — a sequence of flat row dictionaries (one per
-plotted point / table cell, exactly the rows the bare-list API used to
-return) that also carries the cells behind them and knows how to collate
-itself into curve series.  Existing consumers that iterated or indexed the
-row list keep working; new consumers can resume the same cells from a
-results directory via ``repro matrix run`` or feed their hashes into
-``repro perf --trend``.  The experiments accept an
+:class:`FigureResult`: its ``rows`` are flat row dictionaries (one per
+plotted point / table cell), and it also carries the cells behind them and
+knows how to collate itself into curve series.  The same cells can be
+resumed from a results directory via ``repro matrix run`` or have their
+hashes fed into ``repro perf --trend``.  The experiments accept an
 :class:`ExperimentScale` so the same code runs both at laptop scale (the
 default, used by the test-suite and benchmarks) and at paper scale (f up to
 32, 97 replicas, thousands of clients) when more time is available.
 
 Two figures stay off the matrix path by construction: Figure 5 injects an
 instrumented replica factory (not expressible as a spec), and the recovery
-figure drives a warm-cache timeline whose rows are pinned byte-identical by
-the perf harness's determinism digests.  Both still return a
+figure adds recovery-summary columns to rows that the perf harness's
+determinism digests pin byte-identical.  Both still return a
 :class:`FigureResult` (with no cells attached).
 
 Mapping to the paper (see DESIGN.md for the full index):
@@ -43,7 +41,7 @@ Beyond the paper's figures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # runtime imports stay lazy (repro.sharding builds on repro.runtime)
@@ -119,10 +117,9 @@ PAPER_SCALE = ExperimentScale(
 class FigureResult:
     """What one figure experiment produced: rows, cells, curves.
 
-    Behaves as a read-only sequence of the flat row dictionaries the
-    ``figure*`` functions historically returned (iteration, indexing,
-    ``len``), so pre-matrix consumers work unchanged.  ``cells`` are the
-    content-hashed experiment points behind the rows (empty for the two
+    ``rows`` are the flat row dictionaries, one per plotted point or table
+    cell.  ``cells`` are the content-hashed experiment points behind the
+    rows (empty for the two
     figures that cannot run through the matrix engine), and ``curves()``
     collates the rows into figure-6-style per-protocol series along the
     figure's natural axis.
@@ -132,15 +129,6 @@ class FigureResult:
     cells: tuple["Cell", ...] = ()
     #: the row column curves are plotted along (``None``: no natural axis).
     axis: Optional[str] = None
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        return self.rows[index]
 
     def curves(self, axis: Optional[str] = None) -> list["CurveSeries"]:
         """Collate the rows into per-(protocol, backend) curve series."""
@@ -429,8 +417,7 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
                     hardware_levels: Optional[Iterable[TrustedHardwareSpec]] = None,
                     crash_s: float = 0.8, restart_s: float = 1.4,
                     end_s: float = 2.6,
-                    fsync_latency_us: float = 20.0,
-                    reuse_warmup: bool = True) -> FigureResult:
+                    fsync_latency_us: float = 20.0) -> FigureResult:
     """Throughput dip and time-to-recover after a crash/restart of a replica.
 
     A :class:`~repro.recovery.schedule.FaultSchedule` crashes the highest
@@ -441,31 +428,15 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
     the time from the restart until throughput is back above 90% of the
     pre-crash rate — for a sequential trust-bft protocol versus a parallel
     FlexiTrust one, at both trusted-hardware persistence levels (same access
-    latency, so only the persistence bit differs).
-
-    With ``reuse_warmup`` (the default) the fault-free warmup up to the
-    crash is simulated once per distinct warmup-relevant configuration and
-    shared — via pickled snapshots — across hardware levels and repeated
-    invocations (see :mod:`repro.runtime.warmcache`).  A point that nothing
-    will share with (a single hardware level, cold cache) runs fresh, so the
-    snapshot cost is only ever paid when a reuse exists to amortise it.
-    Rows are byte-identical either way; ``reuse_warmup=False`` forces fresh
-    full runs (and is what the equivalence tests compare against).
+    latency, so only the persistence bit differs).  Every point is one fresh
+    simulated run of the whole timeline.
     """
     from ..recovery import FaultSchedule, crash_at, recovery_summary, restart_at
-    from .warmcache import warmed_deployment, warmup_available
 
     rows = []
     protocols = tuple(protocols or ("minbft", "flexi-bft"))
     hardware_levels = tuple(hardware_levels
                             or (SGX_ENCLAVE_COUNTER, ROLLBACK_PROTECTED_COUNTER))
-    # Snapshots only pay off when at least two levels share a warmup — i.e.
-    # they differ solely in the fields the warmup cannot observe (name,
-    # persistence).  Levels with different timing never share, so for them
-    # the serialisation cost would buy nothing.
-    distinct_warmups = {replace(hardware, name="warmup", persistent=False)
-                        for hardware in hardware_levels}
-    warmups_shared = len(distinct_warmups) < len(hardware_levels)
     crash_us, restart_us, end_us = seconds(crash_s), seconds(restart_s), seconds(end_s)
     for protocol in protocols:
         spec = get_protocol(protocol)
@@ -478,15 +449,8 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
                 replay_latency_us=fsync_latency_us / 4.0))
             schedule = FaultSchedule((crash_at(crashed, crash_us),
                                       restart_at(crashed, restart_us)))
-            snapshot = reuse_warmup and (
-                warmups_shared
-                or warmup_available(config, schedule, crash_us))
-            if snapshot:
-                deployment = warmed_deployment(config, schedule,
-                                               warm_until_us=crash_us)
-            else:
-                deployment = Deployment(config, fault_schedule=schedule)
-                deployment.start_clients()
+            deployment = Deployment(config, fault_schedule=schedule)
+            deployment.start_clients()
             deployment.sim.run(until=end_us)
             result = deployment.collect_result(warmup_fraction=0.0)
             summary = recovery_summary(
@@ -499,9 +463,9 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
             row["recovered"] = replica.stats.recoveries_completed > 0
             row["transfer_batches"] = replica.stats.log_fill_batches_applied
             rows.append(row)
-    # No cells: the warm-cache timeline (snapshot reuse across hardware
-    # levels) is not a per-cell run, and these rows are pinned byte-identical
-    # by the perf harness's recovery baselines — they must not gain columns.
+    # No cells: these rows carry recovery-summary columns a cell row does
+    # not, and the perf harness's recovery baselines pin them byte-identical
+    # — they must not gain or lose columns.
     return FigureResult(rows=tuple(rows))
 
 

@@ -86,11 +86,6 @@ class DeploymentSpec:
     fault_schedule: Optional[FaultSchedule] = None
     #: per-group fault schedules for a sharded deployment (shard -> schedule).
     fault_schedules: dict[int, FaultSchedule] = field(default_factory=dict)
-    #: socket framing for transports with a serialization boundary:
-    #: ``"binary"`` (the default codec) or ``"pickle"`` (the one-release
-    #: ``--unsafe-pickle`` escape hatch).  ``None`` keeps the backend's own
-    #: default; setting it on an in-memory backend is a configuration error.
-    wire_format: Optional[str] = None
     #: what the deployment observes about itself (tracing, health sampling,
     #: stall threshold); ``None`` keeps everything off — the zero-overhead
     #: default whose simulated digests match pre-observability builds.
@@ -137,10 +132,10 @@ class DeploymentSpec:
 
         * **Backends hash by name.**  A ``Backend`` instance and the string
           that resolves to it describe identically.
-        * **Fields at their neutral default are omitted** (``wire_format``
-          left to the backend, no shards, no fault schedule), so a hash
-          recorded before a defaulted field existed stays valid after it is
-          added — and passing a default explicitly never changes a hash.
+        * **Fields at their neutral default are omitted** (no shards, no
+          fault schedule, no open loop), so a hash recorded before a
+          defaulted field existed stays valid after it is added — and
+          passing a default explicitly never changes a hash.
         * **Observability is excluded.**  Tracing and health sampling observe
           a run without changing its results (the ``obsv_overhead`` scenario
           pins this), so toggling them must not invalidate resumable cell
@@ -148,8 +143,6 @@ class DeploymentSpec:
         """
         backend = resolve_backend(self.backend)
         description: dict = {"config": self.config, "backend": backend.name}
-        if self.wire_format is not None:
-            description["wire_format"] = self.wire_format
         if self.num_shards is not None:
             description["num_shards"] = self.num_shards
             description["router_seed"] = self.router_seed
@@ -182,8 +175,6 @@ class DeploymentSpec:
         """Construct the deployment this spec describes."""
         self.validate()
         backend = resolve_backend(self.backend)
-        if self.wire_format is not None:
-            backend = backend.with_wire_format(self.wire_format)
         if not self.sharded:
             return Deployment(self.config,
                               fault_schedule=self.fault_schedule,

@@ -131,12 +131,8 @@ class WorkerPool:
             else:
                 batch = [job]
                 scheduled[done_at] = batch
-                # partial, not a lambda: scheduled callbacks must survive a
-                # deepcopy of the whole deployment (the warmed-snapshot reuse
-                # in the recovery experiments) — deepcopy remaps a partial's
-                # bound method and arguments, but returns closures uncopied
-                # (and the shared batch list stays shared through deepcopy's
-                # memo, so later merged jobs still ride the copied event).
+                # The partial holds the batch list itself, so jobs merged
+                # into it later still ride this one event.
                 self._sim.schedule_at(done_at,
                                       partial(self._finish_batch, done_at, batch))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.protocols.messages import Response, signed_part_bytes
-from repro.realtime import LiveDeployment
+from repro.runtime.deployment import Deployment
 from repro.runtime.experiments import ExperimentScale, build_config
 
 #: small sizing: live runs pay real latency and real crypto, so the
@@ -30,7 +30,7 @@ _SCALE = ExperimentScale(
 class ReplyVerifier:
     """Wraps a client's receive hook to verify every Response signature."""
 
-    def __init__(self, deployment: LiveDeployment) -> None:
+    def __init__(self, deployment: Deployment) -> None:
         self.keystore = deployment.keystore
         self.replica_names = set(deployment.replica_names)
         self.verified = 0
@@ -56,7 +56,7 @@ class ReplyVerifier:
 @pytest.mark.parametrize("protocol", ["pbft", "flexi-zz"])
 def test_live_backend_end_to_end(protocol):
     config = build_config(protocol, _SCALE)
-    deployment = LiveDeployment(config)
+    deployment = Deployment(config, backend="live")
     try:
         verifier = ReplyVerifier(deployment)
         target = 20
@@ -85,10 +85,8 @@ def test_live_backend_end_to_end(protocol):
 @pytest.mark.timeout(60)
 def test_live_backend_rows_match_simulated_schema():
     """Live rows must be drop-in compatible with simulated analysis paths."""
-    from repro.runtime.deployment import Deployment
-
     config = build_config("minbft", _SCALE)
-    live = LiveDeployment(config)
+    live = Deployment(config, backend="live")
     try:
         live_result = live.run_until_target(target_requests=12)
     finally:
@@ -100,9 +98,9 @@ def test_live_backend_rows_match_simulated_schema():
 @pytest.mark.timeout(60)
 def test_live_deployment_context_manager_closes_loop():
     config = build_config("pbft", _SCALE)
-    with LiveDeployment(config) as deployment:
+    with Deployment(config, backend="live") as deployment:
         deployment.run_until_target(target_requests=8)
-        kernel = deployment.kernel
+        kernel = deployment.sim
     assert kernel.loop.is_closed()
 
 
@@ -110,7 +108,7 @@ def test_live_deployment_context_manager_closes_loop():
 def test_live_backend_surfaces_receive_errors():
     """A raising receive() must fail the run, not silently partition a node."""
     config = build_config("pbft", _SCALE)
-    deployment = LiveDeployment(config)
+    deployment = Deployment(config, backend="live")
     try:
         def exploding_receive(envelope):
             raise RuntimeError("injected receive failure")

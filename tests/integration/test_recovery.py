@@ -23,6 +23,7 @@ from repro.recovery import (
     restart_at,
 )
 from repro.runtime import Deployment
+from repro.runtime.experiments import ExperimentScale, figure_recovery
 from repro.sharding.config import ShardedConfig
 from repro.sharding.deployment import ShardedDeployment
 
@@ -129,6 +130,22 @@ class TestCrashRestartRejoin:
             r.ledger.last_executed for r in deployment.replicas
             if r.replica_id != 3) - 4
         assert deployment.safety.consensus_safe
+
+
+class TestRecoveryFigure:
+    def test_repeated_invocations_return_identical_rows(self):
+        # Every point is a fresh run of the whole timeline, so a second call
+        # in the same process must reproduce the first row for row.
+        scale = ExperimentScale(
+            name="recovery-figure-test", f=1, num_clients=4, batch_size=4,
+            warmup_batches=1, measured_batches=2, worker_threads=4,
+            max_sim_seconds=10.0)
+        timeline = dict(crash_s=0.05, restart_s=0.09, end_s=0.18,
+                        fsync_latency_us=20.0)
+        first = figure_recovery(scale, **timeline)
+        second = figure_recovery(scale, **timeline)
+        assert len(first.rows) == 4  # two protocols x two hardware levels
+        assert first.rows == second.rows
 
 
 class TestRestartRollback:

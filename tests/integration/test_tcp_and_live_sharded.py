@@ -17,14 +17,12 @@ from __future__ import annotations
 import pytest
 
 from repro.net.tcp import TcpTransport
-from repro.realtime import (
-    LiveShardedDeployment,
-    ReplyVerifier,
-    run_live_point,
-)
+from repro.realtime import ReplyVerifier
+from repro.runtime.deployment import Deployment
 from repro.runtime.experiments import ExperimentScale, build_config
 from repro.runtime.spec import DeploymentSpec
 from repro.sharding.config import ShardedConfig
+from repro.sharding.deployment import ShardedDeployment
 
 _SCALE = ExperimentScale(
     name="tcp-test", f=1, num_clients=6, batch_size=4,
@@ -58,8 +56,10 @@ def test_tcp_backend_end_to_end(protocol):
 @pytest.mark.timeout(60)
 def test_tcp_rows_match_live_queue_rows_schema():
     config = build_config("minbft", _SCALE)
-    tcp_result = run_live_point(config, target_requests=8, backend="live-tcp")
-    queue_result = run_live_point(config, target_requests=8, backend="live")
+    with Deployment(config, backend="live-tcp") as deployment:
+        tcp_result = deployment.run_until_target(target_requests=8)
+    with Deployment(config, backend="live") as deployment:
+        queue_result = deployment.run_until_target(target_requests=8)
     assert set(tcp_result.as_row()) == set(queue_result.as_row())
 
 
@@ -67,8 +67,8 @@ def test_tcp_rows_match_live_queue_rows_schema():
 @pytest.mark.parametrize("backend", ["live", "live-tcp"])
 def test_live_sharded_deployment_end_to_end(backend):
     config = build_config("flexi-bft", _SCALE, num_clients=8)
-    with LiveShardedDeployment(ShardedConfig(base=config, num_shards=2),
-                               backend=backend) as deployment:
+    with ShardedDeployment(ShardedConfig(base=config, num_shards=2),
+                           backend=backend) as deployment:
         verifier = ReplyVerifier(deployment)
         target = 16
         result = deployment.run_until_target(target_requests=target)

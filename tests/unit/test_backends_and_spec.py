@@ -21,7 +21,7 @@ from repro.backends import (
 from repro.common.errors import ConfigurationError
 from repro.net.tcp import TcpTransport
 from repro.net.network import Network
-from repro.realtime import LiveDeployment, LiveNetwork, LiveShardedDeployment
+from repro.realtime import LiveNetwork
 from repro.realtime.kernel import AsyncioKernel
 from repro.recovery import FaultSchedule, crash_at, restart_at
 from repro.runtime.deployment import Deployment
@@ -93,15 +93,6 @@ class TestDeploymentBackendParameter:
         with Deployment(_config(), backend="live-tcp") as deployment:
             assert isinstance(deployment.sim, AsyncioKernel)
             assert isinstance(deployment.network, TcpTransport)
-
-    def test_live_deployment_shim_pins_a_realtime_backend(self):
-        from repro.sharding.config import ShardedConfig
-
-        with pytest.raises(ValueError, match="realtime backend"):
-            LiveDeployment(_config(), backend="sim")
-        with pytest.raises(ValueError, match="realtime backend"):
-            LiveShardedDeployment(ShardedConfig(base=_config(), num_shards=2),
-                                  backend="sim")
 
     def test_close_is_a_no_op_on_the_simulator(self):
         deployment = Deployment(_config())

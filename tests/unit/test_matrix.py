@@ -54,7 +54,7 @@ def test_explicit_defaults_hash_identically():
     explicit = DeploymentSpec(config, backend="sim", num_shards=None,
                               num_clients=None, router_seed=0,
                               fault_schedule=None, fault_schedules={},
-                              wire_format=None, observe=None)
+                              observe=None)
     assert explicit.cell_hash() == default
 
 
@@ -99,8 +99,6 @@ def test_result_affecting_changes_hash_apart():
     assert DeploymentSpec(
         _config(),
         fault_schedule=FaultSchedule((crash_at(1, 1.0),))).cell_hash() != base
-    assert DeploymentSpec(_config(), backend="live-tcp",
-                          wire_format="pickle").cell_hash() != base
 
 
 def test_cell_hashes_as_its_spec():

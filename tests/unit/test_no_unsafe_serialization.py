@@ -1,10 +1,8 @@
-"""Lint gate: no pickle anywhere in the transport stack.
+"""Lint gate: no pickle anywhere in the library.
 
 ``pickle.loads`` on network bytes is arbitrary code execution; the binary
-wire codec exists so nothing under ``src/repro/net/`` or
-``src/repro/realtime/`` ever needs pickle.  The one sanctioned exception
-lives in ``src/repro/runtime/unsafe_pickle.py`` behind the explicit
-``--unsafe-pickle`` flag, and is deliberately outside the fenced trees.
+wire codec exists so nothing under ``src/repro/`` ever needs pickle, and
+there is no exception: the fence covers the whole package.
 
 The ban is enforced on the AST (imports of the pickle family), so prose
 mentions in docstrings don't trip it; CI additionally runs a grep over
@@ -16,7 +14,7 @@ from __future__ import annotations
 import ast
 import pathlib
 
-FENCED_TREES = ("src/repro/net", "src/repro/realtime")
+FENCED_TREES = ("src/repro",)
 BANNED_MODULES = frozenset({"pickle", "cPickle", "dill", "shelve", "marshal"})
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -39,22 +37,13 @@ def _banned_imports(path: pathlib.Path) -> list[str]:
     return offenders
 
 
-def test_no_pickle_under_the_transport_trees():
+def test_no_pickle_anywhere_in_the_library():
     offenders = []
     for tree in FENCED_TREES:
         for path in sorted((_REPO_ROOT / tree).rglob("*.py")):
             offenders.extend(_banned_imports(path))
     assert not offenders, (
-        "unsafe serialisers are banned under the transport trees (network "
-        "bytes must never reach pickle.loads); use the wire codec, or the "
-        "explicit unsafe_pickle escape hatch under runtime/:\n"
+        "unsafe serialisers are banned under src/repro/ (network bytes must "
+        "never reach pickle.loads); use the wire codec:\n"
         + "\n".join(offenders))
 
-
-def test_escape_hatch_stays_outside_the_fence():
-    hatch = _REPO_ROOT / "src/repro/runtime/unsafe_pickle.py"
-    assert hatch.is_file(), (
-        "the --unsafe-pickle escape hatch moved; update FENCED_TREES "
-        "reasoning and the CI grep gate together")
-    for tree in FENCED_TREES:
-        assert not hatch.is_relative_to(_REPO_ROOT / tree)

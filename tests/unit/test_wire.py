@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 import struct
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ from repro.crypto.digest import canonical_bytes, digest
 from repro.execution.state_machine import Operation
 from repro.net.network import Envelope
 from repro.net.wire import (
-    FLAG_PICKLE,
     HEADER,
     HEADER_SIZE,
     MAX_DECODE_DEPTH,
@@ -37,7 +35,6 @@ from repro.net.wire import (
     wire_serializable,
 )
 from repro.protocols.messages import ClientRequest, RequestBatch
-from repro.runtime.unsafe_pickle import UnsafePickleWireCodec
 
 
 def _request(number: int = 1) -> ClientRequest:
@@ -244,31 +241,14 @@ class TestRegistry:
             WIRE_REGISTRY._by_name.pop("_Probe", None)
 
 
-# ------------------------------------------------------------- pickle hatch
-class TestPickleEscapeHatch:
-    def test_default_codec_refuses_pickled_frames(self):
-        frame = UnsafePickleWireCodec().encode_frame(_envelope("x"))
-        flags, _ = WireCodec().parse_header(frame)
-        assert flags & FLAG_PICKLE
-        with pytest.raises(MalformedWirePayload):
-            WireCodec().decode_frame(frame)
-
-    def test_unsafe_codec_round_trips_pickle(self):
-        codec = UnsafePickleWireCodec()
-        env = _envelope(_request())
-        assert codec.decode_frame(codec.encode_frame(env)) == env
-
-    def test_unsafe_codec_accepts_binary_frames(self):
-        env = _envelope("mixed")
-        frame = WireCodec().encode_frame(env)
-        assert UnsafePickleWireCodec().decode_frame(frame) == env
-
-    def test_pickled_frame_carries_wire_header(self):
-        frame = UnsafePickleWireCodec().encode_frame("x")
-        magic, version, flags, length = HEADER.unpack(frame[:HEADER_SIZE])
-        assert (magic, version) == (WIRE_MAGIC, WIRE_VERSION)
-        assert flags == FLAG_PICKLE
-        assert pickle.loads(frame[HEADER_SIZE:]) == "x"
+# ------------------------------------------------------------ reserved flags
+class TestReservedFlags:
+    def test_flag_bit_zero_is_rejected_before_the_payload(self):
+        # Bit 0 is reserved: the header alone is refused, so no payload is
+        # ever read for it.
+        header = HEADER.pack(WIRE_MAGIC, WIRE_VERSION, 0x01, 16)
+        with pytest.raises(MalformedWirePayload, match="unknown frame flags"):
+            WireCodec().parse_header(header)
 
 
 # ----------------------------------------------------------------- contracts

@@ -14,7 +14,10 @@ tests assert:
   trace block — so untraced frames stay bit-identical to the pre-tracing
   format,
 * every class in the registry has both vectors (so adding a message class
-  without pinning its encoding fails CI).
+  without pinning its encoding fails CI),
+* a golden frame with a few bytes of its payload overwritten decodes or
+  raises a typed :class:`~repro.common.errors.WireError` — never anything
+  else (a hostile peer must not crash the receiver with an untyped error).
 
 If a vector ever changes, the wire format changed: bump
 :data:`repro.net.wire.WIRE_VERSION` and regenerate deliberately with::
@@ -27,13 +30,21 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.errors import MalformedWirePayload, WireError
 from repro.common.types import RequestId
 from repro.crypto.digest import canonical_bytes
 from repro.crypto.signatures import Mac, Signature
 from repro.execution.state_machine import Operation, OperationResult
 from repro.net.network import Envelope
-from repro.net.wire import WIRE_REGISTRY, WireCodec, ensure_default_registrations
+from repro.net.wire import (
+    HEADER_SIZE,
+    WIRE_REGISTRY,
+    WireCodec,
+    ensure_default_registrations,
+)
 from repro.protocols.messages import (
     Checkpoint,
     CheckpointReply,
@@ -204,6 +215,53 @@ def test_traced_golden_vector_round_trip(name):
     assert committed[3] == untraced[3] | FLAG_TRACE
     block = encode_trace_context(context)
     assert committed[HEADER_SIZE + len(block):] == untraced[HEADER_SIZE:]
+
+
+# ------------------------------------------------------------ mutated frames
+#: every committed frame, read once; mutations start from these bytes.
+_GOLDEN_FRAMES = {path.name: path.read_bytes()
+                  for path in sorted(GOLDEN_DIR.glob("*.bin"))}
+#: the canonical encoding's value tags (uppercase, so rarely inside names):
+#: swapping one for another is the mutation most likely to reach type
+#: confusion in a decoder.
+_TAG_BYTES = b"NTFLSMD"
+
+
+@st.composite
+def mutated_frames(draw) -> bytes:
+    """A golden frame with 1-3 payload bytes overwritten (header intact).
+
+    Edits favour bytes that already are tags, so a value of one type
+    turns into another where a field expects the first.
+    """
+    frame = bytearray(_GOLDEN_FRAMES[draw(st.sampled_from(sorted(_GOLDEN_FRAMES)))])
+    tag_positions = [position for position in range(HEADER_SIZE, len(frame))
+                     if frame[position] in _TAG_BYTES]
+    for _ in range(draw(st.integers(1, 3))):
+        position = draw(st.one_of(st.sampled_from(tag_positions),
+                                  st.integers(HEADER_SIZE, len(frame) - 1)))
+        frame[position] = draw(st.one_of(st.sampled_from(_TAG_BYTES),
+                                         st.integers(0, 255)))
+    return bytes(frame)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(frame=mutated_frames())
+def test_mutated_golden_frames_raise_only_wire_errors(frame):
+    try:
+        WireCodec().decode_frame(frame)
+    except WireError:
+        pass
+
+
+def test_scalar_in_a_tuple_field_is_a_typed_error():
+    # RequestBatch.requests is a tuple field; with its list tag overwritten
+    # by False the field coercer gets a bool, which cannot become a tuple.
+    golden = _GOLDEN_FRAMES["RequestBatch.bin"]
+    frame = golden.replace(b"s8:requestsL", b"s8:requestsF", 1)
+    assert frame != golden
+    with pytest.raises(MalformedWirePayload, match="cannot coerce"):
+        WireCodec().decode_frame(frame)
 
 
 def _regen() -> None:
