@@ -217,6 +217,11 @@ def _coercer_for(hint: Any) -> Optional[Callable[[Any], Any]]:
     ``set``/``frozenset`` with another; the decoder materialises ``list`` and
     ``set`` and this coercer converts to the declared immutable type.  Other
     types are self-describing and pass through.
+
+    A coercer accepts only the container the decoder builds for that tag and
+    raises ``TypeError`` on anything else: ``tuple("ab")`` would turn a string
+    into a tuple of characters that no longer encodes to the received bytes
+    pinned as the instance's canonical cache.
     """
     origin = get_origin(hint)
     if origin is Union:
@@ -231,13 +236,26 @@ def _coercer_for(hint: Any) -> Optional[Callable[[Any], Any]]:
         args = get_args(hint)
         if len(args) == 2 and args[1] is Ellipsis:
             element = _coercer_for(args[0])
-            if element is None:
-                return tuple
-            return lambda value: tuple(element(item) for item in value)
-        return tuple
+            if element is not None:
+                return lambda value: tuple(
+                    element(item) for item in _as_tuple(value))
+        return _as_tuple
     if hint is frozenset or origin is frozenset:
-        return frozenset
+        return _as_frozenset
     return None
+
+
+def _as_tuple(value: Any) -> tuple:
+    if type(value) is not list:
+        raise TypeError(f"a tuple field needs a list, not {type(value).__name__}")
+    return tuple(value)
+
+
+def _as_frozenset(value: Any) -> frozenset:
+    if type(value) is not set:
+        raise TypeError(
+            f"a frozenset field needs a set, not {type(value).__name__}")
+    return frozenset(value)
 
 
 def _decode_template(entry: _RegisteredClass) -> tuple:

@@ -133,19 +133,32 @@ class TestCrashRestartRejoin:
 
 
 class TestRecoveryFigure:
+    SCALE = ExperimentScale(
+        name="recovery-figure-test", f=1, num_clients=4, batch_size=4,
+        warmup_batches=1, measured_batches=2, worker_threads=4,
+        max_sim_seconds=10.0)
+    TIMELINE = dict(crash_s=0.05, restart_s=0.09, end_s=0.18,
+                    fsync_latency_us=20.0)
+
     def test_repeated_invocations_return_identical_rows(self):
         # Every point is a fresh run of the whole timeline, so a second call
         # in the same process must reproduce the first row for row.
-        scale = ExperimentScale(
-            name="recovery-figure-test", f=1, num_clients=4, batch_size=4,
-            warmup_batches=1, measured_batches=2, worker_threads=4,
-            max_sim_seconds=10.0)
-        timeline = dict(crash_s=0.05, restart_s=0.09, end_s=0.18,
-                        fsync_latency_us=20.0)
-        first = figure_recovery(scale, **timeline)
-        second = figure_recovery(scale, **timeline)
+        first = figure_recovery(self.SCALE, **self.TIMELINE)
+        second = figure_recovery(self.SCALE, **self.TIMELINE)
         assert len(first.rows) == 4  # two protocols x two hardware levels
         assert first.rows == second.rows
+
+    def test_a_point_does_not_depend_on_the_other_points(self):
+        # Asking for one point alone gives the row it has in the full
+        # figure: no state carries over from one point's run to the next.
+        full = figure_recovery(self.SCALE, **self.TIMELINE)
+        alone = figure_recovery(
+            self.SCALE, protocols=("flexi-bft",),
+            hardware_levels=(ROLLBACK_PROTECTED_COUNTER,), **self.TIMELINE)
+        assert alone.rows == tuple(
+            row for row in full.rows
+            if row["protocol"] == "flexi-bft"
+            and row["hardware"] == ROLLBACK_PROTECTED_COUNTER.name)
 
 
 class TestRestartRollback:

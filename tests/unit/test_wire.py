@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
 import struct
 from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.crypto.digest import canonical_bytes, digest
 from repro.execution.state_machine import Operation
 from repro.net.network import Envelope
 from repro.net.wire import (
+    FLAG_TRACE,
     HEADER,
     HEADER_SIZE,
     MAX_DECODE_DEPTH,
@@ -241,6 +244,100 @@ class TestRegistry:
             WIRE_REGISTRY._by_name.pop("_Probe", None)
 
 
+# ------------------------------------------------------------ field coercion
+def _request_batch_with(requests: bytes) -> bytes:
+    """A RequestBatch payload whose tuple field holds the given raw value."""
+    return b"D12:RequestBatchs8:requests" + requests + b"d"
+
+
+@dataclass(frozen=True)
+class _Members:
+    names: frozenset[str]
+    grid: tuple[tuple[int, ...], ...]
+    tags: Optional[tuple[str, ...]] = None
+
+
+_MEMBERS_REGISTRY = WireRegistry()
+_MEMBERS_REGISTRY.register(_Members)
+
+
+def _members_with(names: bytes = b"Ss1:as", grid: bytes = b"LLi1:1ll",
+                  tags: bytes = b"N") -> bytes:
+    return (b"D8:_Memberss5:names" + names + b"s4:grid" + grid
+            + b"s4:tags" + tags + b"d")
+
+
+class TestFieldCoercion:
+    """A field only takes the container its declared type encodes as.
+
+    The decoder builds a list for the sequence tag and a set for the set
+    tag; a tuple field holding anything but a list (or a frozenset field
+    holding anything but a set) is a malformed payload, never a bare
+    ``TypeError`` and never a silently different value.
+    """
+
+    @pytest.mark.parametrize("raw", [
+        b"F",                                   # bool
+        b"T",                                   # bool
+        b"N",                                   # None in a non-optional field
+        b"i1:7",                                # int
+        b"s2:ab",                               # str (tuple("ab") would pass)
+        b"b2:ab",                               # bytes
+        b"Ms1:ai1:1m",                          # dict
+        b"Ss1:as",                              # set (order not canonical)
+        canonical_bytes(_request()),            # a request, not a tuple of them
+    ], ids=["false", "true", "none", "int", "str", "bytes", "dict", "set",
+            "dataclass"])
+    def test_tuple_field_refuses_a_non_list(self, raw):
+        with pytest.raises(MalformedWirePayload, match="cannot coerce"):
+            decode_payload(_request_batch_with(raw))
+
+    def test_tuple_field_takes_a_list(self):
+        raw = b"L" + canonical_bytes(_request()) + b"l"
+        batch = decode_payload(_request_batch_with(raw))
+        assert batch == RequestBatch(requests=(_request(),))
+
+    @pytest.mark.parametrize("raw", [b"Ls1:al", b"s2:ab"], ids=["list", "str"])
+    def test_frozenset_field_refuses_a_non_set(self, raw):
+        with pytest.raises(MalformedWirePayload, match="cannot coerce"):
+            decode_payload(_members_with(names=raw), _MEMBERS_REGISTRY)
+
+    def test_nested_tuple_elements_are_checked_too(self):
+        with pytest.raises(MalformedWirePayload, match="cannot coerce"):
+            decode_payload(_members_with(grid=b"LLi1:1ls2:abl"),
+                           _MEMBERS_REGISTRY)
+
+    def test_optional_tuple_field_takes_none_or_a_list(self):
+        plain = decode_payload(_members_with(), _MEMBERS_REGISTRY)
+        assert plain == _Members(names=frozenset({"a"}), grid=((1,),))
+        tagged = decode_payload(_members_with(tags=b"Ls1:xl"),
+                                _MEMBERS_REGISTRY)
+        assert tagged.tags == ("x",)
+        with pytest.raises(MalformedWirePayload, match="cannot coerce"):
+            decode_payload(_members_with(tags=b"s1:x"), _MEMBERS_REGISTRY)
+
+    def test_coerced_fields_re_encode_to_the_received_bytes(self):
+        payload = _members_with(names=b"Ss1:as1:bs", grid=b"LLi1:1lLi1:2i1:3ll",
+                                tags=b"Ls1:xl")
+        value = decode_payload(payload, _MEMBERS_REGISTRY)
+        fresh = _Members(names=value.names, grid=value.grid, tags=value.tags)
+        assert canonical_bytes(fresh) == payload
+
+
+# ------------------------------------------------------------- pickle frames
+class TestPickleEscapeHatch:
+    """The pickle codec is gone; frames it used to write are refused."""
+
+    def test_default_codec_refuses_pickled_frames(self):
+        payload = pickle.dumps(_envelope("x"))
+        frame = HEADER.pack(WIRE_MAGIC, WIRE_VERSION, 0x01,
+                            len(payload)) + payload
+        with pytest.raises(MalformedWirePayload, match="unknown frame flags"):
+            WireCodec().decode_frame(frame)
+        with pytest.raises(MalformedWirePayload, match="unknown frame flags"):
+            WireCodec().decode_frame_traced(frame)
+
+
 # ------------------------------------------------------------ reserved flags
 class TestReservedFlags:
     def test_flag_bit_zero_is_rejected_before_the_payload(self):
@@ -249,6 +346,18 @@ class TestReservedFlags:
         header = HEADER.pack(WIRE_MAGIC, WIRE_VERSION, 0x01, 16)
         with pytest.raises(MalformedWirePayload, match="unknown frame flags"):
             WireCodec().parse_header(header)
+
+    @pytest.mark.parametrize("flags", [
+        0x04, 0x08, 0x10, 0x20, 0x40, FLAG_TRACE | 0x01, FLAG_TRACE | 0x80,
+    ])
+    def test_every_flag_but_trace_is_rejected(self, flags):
+        header = HEADER.pack(WIRE_MAGIC, WIRE_VERSION, flags, 16)
+        with pytest.raises(MalformedWirePayload, match="unknown frame flags"):
+            WireCodec().parse_header(header)
+
+    def test_trace_flag_alone_is_accepted(self):
+        header = HEADER.pack(WIRE_MAGIC, WIRE_VERSION, FLAG_TRACE, 16)
+        assert WireCodec().parse_header(header) == (FLAG_TRACE, 16)
 
 
 # ----------------------------------------------------------------- contracts
