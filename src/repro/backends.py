@@ -76,7 +76,12 @@ class Backend:
         raise NotImplementedError
 
     def run_for(self, kernel: Kernel, duration_us: Micros) -> Micros:
-        """Drive ``kernel`` for a fixed span of its own clock."""
+        """Drive ``kernel`` for ``duration_us`` past its current ``now``.
+
+        Only drives the kernel: starting load is the caller's job (see
+        :meth:`~repro.runtime.deployment.BaseDeployment.run_for`).
+        Consecutive calls cover consecutive spans on every backend.
+        """
         raise NotImplementedError
 
     def teardown(self, kernel: Kernel, networks: List["Network"]) -> None:
@@ -108,10 +113,7 @@ class SimBackend(Backend):
         return kernel.run(until=until_us, stop_when=stop_when)
 
     def run_for(self, kernel: Kernel, duration_us: Micros) -> Micros:
-        # Simulated attack/recovery scenarios historically run to an
-        # *absolute* horizon; a fresh deployment's clock starts at zero, so
-        # the span and the horizon coincide.
-        return kernel.run(until=duration_us)
+        return kernel.run(until=kernel.now + duration_us)
 
     def teardown(self, kernel: Kernel, networks: List["Network"]) -> None:
         pass  # the simulator holds no external resources

@@ -158,11 +158,9 @@ class MatrixRunner:
             else:
                 horizon_us = cell.fixed_horizon_us
                 if horizon_us is not None:
-                    if not cell.realtime:
-                        # run_for on the simulator assumes the scenario
-                        # starts its own load (the live path starts clients
-                        # itself).
-                        deployment.start_clients()
+                    # Fault-plan cells run the plan's whole timeline;
+                    # run_for starts the closed-loop clients on every
+                    # backend.
                     run_result = deployment.run_for(horizon_us)
                 else:
                     run_result = deployment.run_until_target()

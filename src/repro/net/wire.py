@@ -77,7 +77,8 @@ from ..common.errors import (
 # templates (same field-name bytes, same declaration order) and its cache
 # attribute, so wire framing and digest/signature memoisation stay one
 # mechanism with one set of invariants.
-from ..crypto.digest import _CANONICAL_CACHE, _class_template, canonical_bytes
+from ..crypto.digest import (_CANONICAL_CACHE, _class_template, _sorted_members,
+                             canonical_bytes)
 from ..obsv.trace import TraceContext
 
 #: first bytes of every frame.
@@ -412,14 +413,29 @@ class _Decoder:
                 return items
             items.append(self._value(depth + 1))
 
+    def _canonical_members(self, members: list, distinct: int,
+                           kind: str) -> None:
+        """Refuse members that are not in strictly increasing canonical order.
+
+        The encoder writes dict keys and set members sorted by
+        :func:`~repro.crypto.digest._sorted_members`; a payload in any other
+        order, or with a repeated member, decodes to a value that re-encodes
+        to different bytes.
+        """
+        if distinct != len(members) or _sorted_members(members) != members:
+            raise self._fail(
+                f"{kind} not in strictly increasing canonical order")
+
     def _dict(self, depth: int) -> dict:
         result: dict = {}
+        keys = []
         data = self.data
         while True:
             if self.pos >= len(data):
                 raise self._fail("unterminated dict")
             if data[self.pos] == _END_DICT:
                 self.pos += 1
+                self._canonical_members(keys, len(result), "dict keys")
                 return result
             key = self._value(depth + 1)
             value = self._value(depth + 1)
@@ -427,6 +443,7 @@ class _Decoder:
                 result[key] = value
             except TypeError:
                 raise self._fail(f"unhashable dict key {key!r}") from None
+            keys.append(key)
 
     def _set(self, depth: int) -> set:
         # The set terminator shares the byte 's' with the string tag; a
@@ -434,6 +451,7 @@ class _Decoder:
         # can (after a set ends only another tag or terminator may follow),
         # so one byte of lookahead disambiguates.
         result: set = set()
+        items = []
         data = self.data
         while True:
             if self.pos >= len(data):
@@ -442,12 +460,14 @@ class _Decoder:
             if byte == _END_SET and (self.pos + 1 >= len(data)
                                      or data[self.pos + 1] not in _DIGITS):
                 self.pos += 1
+                self._canonical_members(items, len(result), "set members")
                 return result
             item = self._value(depth + 1)
             try:
                 result.add(item)
             except TypeError:
                 raise self._fail(f"unhashable set member {item!r}") from None
+            items.append(item)
 
     def _dataclass(self, depth: int) -> Any:
         start = self.pos - 1  # include the 'D' tag in the pinned cache slice

@@ -39,9 +39,9 @@ from ..runtime.experiments import (
     build_sharded_config,
     figure_recovery,
     run_point,
-    run_sharded_point,
 )
 from ..runtime.spec import DeploymentSpec
+from ..sharding.deployment import ShardedDeployment
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 from ..workload.openloop import OpenLoopConfig, open_loop_row, run_open_loop
@@ -221,7 +221,8 @@ def scenario_sharding_scaleout(scale: PerfScale) -> list[dict]:
         for num_shards in scale.shard_counts:
             config = build_sharded_config(protocol, scale.experiment,
                                           num_shards=num_shards)
-            result = run_sharded_point(config)
+            with ShardedDeployment(config) as deployment:
+                result = deployment.run_until_target()
             row = {"protocol": protocol}
             row.update(result.as_row())
             rows.append(row)
@@ -426,76 +427,21 @@ scenario_live_fig1.deterministic = False
 scenario_live_fig1.fixed_scale = "smoke"
 
 
-@dataclass(frozen=True)
-class LiveRecoveryParams:
-    """Wall-clock fault timeline of the ``live_recovery`` scenario."""
-
-    crash_s: float = 0.2
-    restart_s: float = 0.35
-    end_s: float = 0.8
-
-
-#: sizing of the live recovery run (fixed, like every live scenario).
-_LIVE_RECOVERY_EXPERIMENT = ExperimentScale(
-    name="live-recovery", f=1, num_clients=8, batch_size=4,
-    warmup_batches=1, measured_batches=5, worker_threads=4,
-    max_sim_seconds=30.0)
-
-_LIVE_RECOVERY_PROTOCOLS = ("minbft", "flexi-bft")
-
-
 def scenario_live_recovery(scale: PerfScale) -> list[dict]:
     """Crash → restart → state transfer of a real replica task, live.
 
-    A :class:`~repro.recovery.schedule.FaultSchedule` crashes the highest
-    non-primary replica at a wall-clock instant and restarts it later; the
-    restarted incarnation replays its durable store and state-transfers the
-    missing suffix from its peers over the live transport, all while the
-    clients keep offering load.  Rows carry the same dip/time-to-recover
-    summary as the simulated ``recovery`` scenario, measured in real time.
+    :func:`~repro.runtime.experiments.figure_recovery` on the asyncio
+    backend: the highest non-primary replica crashes at a wall-clock
+    instant and restarts later; the restarted incarnation replays its
+    durable store and state-transfers the missing suffix from its peers
+    over the live transport, all while the clients keep offering load.
+    Rows carry the same dip/time-to-recover summary as the simulated
+    ``recovery`` scenario, measured in real time.
     """
-    from ..common.config import RecoveryConfig
-    from ..recovery import (
-        FaultSchedule,
-        crash_at,
-        recovery_summary,
-        restart_at,
-    )
-    from ..protocols.registry import get_protocol
-    from ..runtime.deployment import Deployment
-
-    params = LiveRecoveryParams()
-    crash_us = params.crash_s * 1_000_000.0
-    restart_us = params.restart_s * 1_000_000.0
-    end_us = params.end_s * 1_000_000.0
-    rows = []
-    for protocol in _LIVE_RECOVERY_PROTOCOLS:
-        spec = get_protocol(protocol)
-        n = spec.replicas(_LIVE_RECOVERY_EXPERIMENT.f)
-        crashed = n - 1
-        config = build_config(protocol, _LIVE_RECOVERY_EXPERIMENT)
-        config = config.with_updates(recovery=RecoveryConfig(
-            fsync_latency_us=20.0, replay_latency_us=5.0))
-        schedule = FaultSchedule((crash_at(crashed, crash_us),
-                                  restart_at(crashed, restart_us)))
-        deployment = Deployment(config, fault_schedule=schedule,
-                                backend="live")
-        try:
-            result = deployment.run_for(end_us)
-            summary = recovery_summary(
-                deployment.metrics.completions, crash_us, restart_us, end_us,
-                warmup_us=0.25 * crash_us)
-            replica = deployment.replica(crashed)
-            row = {"protocol": protocol, "backend": "live",
-                   "crashed_replica": crashed}
-            row.update(result.as_row())
-            row.update(summary.as_row())
-            row["recovered"] = replica.stats.recoveries_completed > 0
-            row["transfer_batches"] = replica.stats.log_fill_batches_applied
-            rows.append(row)
-        finally:
-            deployment.close()
-    return rows
+    return list(figure_recovery(
+        _LIVE_EXPERIMENT, protocols=_LIVE_PROTOCOLS,
+        hardware_levels=(SGX_ENCLAVE_COUNTER,),
+        crash_s=0.2, restart_s=0.35, end_s=0.8, backend="live").rows)
 
 
 scenario_live_recovery.deterministic = False

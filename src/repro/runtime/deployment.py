@@ -5,8 +5,10 @@ A :class:`Deployment` wires every substrate together from a single
 key store, the topology and network, one replica (with state machine, worker
 pool, durable store and — when the protocol needs it — a trusted component
 and its timed device) per seat, and the closed-loop clients.  Experiments
-then either call :meth:`run_until_target` for throughput measurements or
-drive the kernel directly for attack scenarios.
+then either call :meth:`run_until_target` for throughput measurements,
+:meth:`run_for` for a fixed-horizon timeline, or drive the kernel directly
+for attack scenarios.  Both run methods live on :class:`BaseDeployment`,
+the driver :class:`~repro.sharding.deployment.ShardedDeployment` shares.
 
 The build path is **backend-parameterized**: the ``backend`` argument (a
 name or :class:`~repro.backends.Backend`) decides which kernel/transport
@@ -97,7 +99,158 @@ class RunResult:
         return row
 
 
-class Deployment:
+class BaseDeployment:
+    """The run driver every deployment shape shares.
+
+    A subclass builds ``backend``, ``sim``, ``metrics``, ``clients``,
+    ``observe`` and ``health_samples`` and supplies only what differs
+    between shapes: its experiment config (``_experiment``), the default
+    request target (``_default_target``), the transports to tear down
+    (``_networks``) and :meth:`collect_result`.
+    """
+
+    # -------------------------------------------------------------- running
+    def start_clients(self, stagger_us: Micros = 50.0) -> None:
+        """Start every client, staggered slightly to avoid lockstep."""
+        for index, client in enumerate(self.clients):
+            client.start(initial_delay_us=index * stagger_us)
+
+    def stop_clients(self) -> None:
+        """Stop every client's closed loop (outstanding requests abandoned)."""
+        for client in self.clients:
+            client.stop()
+
+    def run_until_target(self, target_requests: Optional[int] = None,
+                         max_sim_time_us: Optional[Micros] = None):
+        """Run until ``target_requests`` complete (or the time cap is hit).
+
+        Starts the closed-loop clients, so a deployment takes one run.  On
+        the live backends ``max_sim_time_us`` bounds *wall-clock* time —
+        there the two are the same clock.
+        """
+        experiment = self._experiment
+        if target_requests is None:
+            target_requests = self._default_target()
+        if max_sim_time_us is None:
+            max_sim_time_us = experiment.max_sim_time_us
+        self.start_clients()
+        watchdog = self._arm_watchdog(max_sim_time_us)
+        sampler = self._start_health_sampler()
+        try:
+            self.backend.run(
+                self.sim, until_us=max_sim_time_us,
+                stop_when=lambda: self.metrics.completed_count >= target_requests)
+        finally:
+            if watchdog is not None:
+                watchdog.cancel()
+            if sampler is not None:
+                sampler.stop()
+            if self.backend.realtime:
+                self.stop_clients()
+        self._check_live_progress(target_requests)
+        return self.collect_result(measurement_warmup_fraction(experiment))
+
+    def run_for(self, duration_us: Micros):
+        """Start the closed-loop clients and run for a fixed span of kernel time.
+
+        Like :meth:`run_until_target` this is one run per deployment: the
+        clients are started here, on every backend.  On the live backends
+        the span is wall-clock and the clients are stopped after it; on the
+        simulator they are left running, because :meth:`Client.stop
+        <repro.workload.client.Client.stop>` reports each outstanding
+        request as abandoned, which would change the result rows.
+        """
+        self.start_clients()
+        self.backend.run_for(self.sim, duration_us)
+        if self.backend.realtime:
+            self.stop_clients()
+        return self.collect_result(warmup_fraction=0.0)
+
+    # -------------------------------------------------------- observability
+    def health(self) -> DeploymentHealth:
+        """Snapshot every replica's health plus kernel state, right now."""
+        return deployment_health(self)
+
+    def _arm_watchdog(self, cap_us: Optional[Micros]) -> Optional[StallWatchdog]:
+        """Arm the stall watchdog on live backends (None on the simulator).
+
+        On the simulator a wedged run simply drains its event queue and
+        stops — no wall-clock is lost and determinism forbids extra events.
+        On a live backend the same wedge burns real seconds until the cap,
+        so the watchdog fires as soon as ``stall_after_us`` passes with zero
+        completed requests: by default a third of the cap, clamped to
+        [0.5s, 10s], or exactly ``observe.stall_after_us`` when set.
+        """
+        if not self.backend.realtime:
+            return None
+        stall_after = self.observe.stall_after_us
+        if stall_after is None:
+            cap = cap_us if cap_us is not None else 30_000_000.0
+            stall_after = min(10_000_000.0, max(500_000.0, cap / 3.0))
+        watchdog = StallWatchdog(
+            self.sim, progress=lambda: self.metrics.completed_count,
+            stall_after_us=stall_after, on_stall=self._on_stall)
+        watchdog.arm()
+        return watchdog
+
+    def _on_stall(self, watchdog: StallWatchdog) -> None:
+        """Watchdog callback: snapshot diagnostics, fail the run typed."""
+        seconds = watchdog.stalled_for_us / 1_000_000.0
+        bundle = snapshot_diagnostics(
+            self, reason=f"no completed request for {seconds:.1f}s "
+            f"(stall threshold {watchdog.stall_after_us / 1_000_000.0:.1f}s)")
+        suspect = bundle["suspect"]
+        self.sim.fail(StallError(
+            f"live run stalled: {bundle['reason']}; suspect {suspect} "
+            f"({bundle['suspect_reason']})",
+            suspect=suspect, diagnostics=bundle))
+
+    def _start_health_sampler(self) -> Optional[HealthSampler]:
+        """Start periodic health sampling when an interval is configured."""
+        interval = self.observe.health_interval_us
+        if interval is None:
+            return None
+        sampler = HealthSampler(self.sim, self.health, interval)
+        sampler.start()
+        self.health_samples = sampler.samples
+        return sampler
+
+    def _check_live_progress(self, target_requests: int) -> None:
+        """Turn a capped-but-short live run into a typed, diagnosed failure."""
+        if not self.backend.realtime:
+            return
+        completed = self.metrics.completed_count
+        if completed >= target_requests:
+            return
+        bundle = snapshot_diagnostics(
+            self, reason=f"wall-clock cap hit at {completed}/{target_requests} "
+            "completed requests")
+        raise StallError(
+            f"live run hit its wall-clock cap at {completed}/{target_requests} "
+            f"completed requests; suspect {bundle['suspect']} "
+            f"({bundle['suspect_reason']})",
+            suspect=bundle["suspect"], diagnostics=bundle)
+
+    # ------------------------------------------------------------ lifecycle
+    def close(self) -> None:
+        """Release backend resources (transport tasks, the owned event loop).
+
+        A no-op on the simulator; live deployments must be closed (or used
+        as context managers) so pump/socket tasks and the loop are torn
+        down.
+        """
+        if self.backend.realtime:
+            self.stop_clients()
+        self.backend.teardown(self.sim, self._networks())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class Deployment(BaseDeployment):
     """A fully wired deployment of one protocol.
 
     By default a deployment owns every substrate it needs (kernel, rng
@@ -262,145 +415,18 @@ class Deployment:
             for name in self.replica_names[1:])
         return latencies[len(latencies) // 2]
 
-    # -------------------------------------------------------------- running
-    def start_clients(self, stagger_us: Micros = 50.0) -> None:
-        """Start every client, staggered slightly to avoid lockstep."""
-        for index, client in enumerate(self.clients):
-            client.start(initial_delay_us=index * stagger_us)
+    # ------------------------------------------------------ driver hooks
+    @property
+    def _experiment(self):
+        return self.config.experiment
 
-    def stop_clients(self) -> None:
-        """Stop every client's closed loop (outstanding requests abandoned)."""
-        for client in self.clients:
-            client.stop()
-
-    def run_until_target(self, target_requests: Optional[int] = None,
-                         max_sim_time_us: Optional[Micros] = None) -> RunResult:
-        """Run until ``target_requests`` complete (or the time cap is hit).
-
-        On the live backends ``max_sim_time_us`` bounds *wall-clock* time —
-        there the two are the same clock.
-        """
+    def _default_target(self) -> int:
         experiment = self.config.experiment
-        if target_requests is None:
-            target_requests = ((experiment.warmup_batches + experiment.measured_batches)
-                               * self.protocol_config.batch_size)
-        if max_sim_time_us is None:
-            max_sim_time_us = experiment.max_sim_time_us
-        self.start_clients()
-        watchdog = self._arm_watchdog(max_sim_time_us)
-        sampler = self._start_health_sampler()
-        try:
-            self.backend.run(
-                self.sim, until_us=max_sim_time_us,
-                stop_when=lambda: self.metrics.completed_count >= target_requests)
-        finally:
-            if watchdog is not None:
-                watchdog.cancel()
-            if sampler is not None:
-                sampler.stop()
-            if self.backend.realtime:
-                self.stop_clients()
-        self._check_live_progress(target_requests)
-        return self.collect_result(measurement_warmup_fraction(experiment))
+        return ((experiment.warmup_batches + experiment.measured_batches)
+                * self.protocol_config.batch_size)
 
-    def run_for(self, duration_us: Micros) -> RunResult:
-        """Run for a fixed span of kernel time.
-
-        On the simulator this drives attack/recovery scenarios that start
-        their own clients; on the live backends (where a span of real time
-        only measures something if load is offered) the clients are started
-        and stopped around the run.
-        """
-        if self.backend.realtime:
-            self.start_clients()
-            self.backend.run_for(self.sim, duration_us)
-            self.stop_clients()
-        else:
-            self.backend.run_for(self.sim, duration_us)
-        return self.collect_result(warmup_fraction=0.0)
-
-    # -------------------------------------------------------- observability
-    def health(self) -> DeploymentHealth:
-        """Snapshot every replica's health plus kernel state, right now."""
-        return deployment_health(self)
-
-    def _arm_watchdog(self, cap_us: Optional[Micros]) -> Optional[StallWatchdog]:
-        """Arm the stall watchdog on live backends (None on the simulator).
-
-        On the simulator a wedged run simply drains its event queue and
-        stops — no wall-clock is lost and determinism forbids extra events.
-        On a live backend the same wedge burns real seconds until the cap,
-        so the watchdog fires as soon as ``stall_after_us`` passes with zero
-        completed requests: by default a third of the cap, clamped to
-        [0.5s, 10s], or exactly ``observe.stall_after_us`` when set.
-        """
-        if not self.backend.realtime:
-            return None
-        stall_after = self.observe.stall_after_us
-        if stall_after is None:
-            cap = cap_us if cap_us is not None else 30_000_000.0
-            stall_after = min(10_000_000.0, max(500_000.0, cap / 3.0))
-        watchdog = StallWatchdog(
-            self.sim, progress=lambda: self.metrics.completed_count,
-            stall_after_us=stall_after, on_stall=self._on_stall)
-        watchdog.arm()
-        return watchdog
-
-    def _on_stall(self, watchdog: StallWatchdog) -> None:
-        """Watchdog callback: snapshot diagnostics, fail the run typed."""
-        seconds = watchdog.stalled_for_us / 1_000_000.0
-        bundle = snapshot_diagnostics(
-            self, reason=f"no completed request for {seconds:.1f}s "
-            f"(stall threshold {watchdog.stall_after_us / 1_000_000.0:.1f}s)")
-        suspect = bundle["suspect"]
-        self.sim.fail(StallError(
-            f"live run stalled: {bundle['reason']}; suspect {suspect} "
-            f"({bundle['suspect_reason']})",
-            suspect=suspect, diagnostics=bundle))
-
-    def _start_health_sampler(self) -> Optional[HealthSampler]:
-        """Start periodic health sampling when an interval is configured."""
-        interval = self.observe.health_interval_us
-        if interval is None:
-            return None
-        sampler = HealthSampler(self.sim, self.health, interval)
-        sampler.start()
-        self.health_samples = sampler.samples
-        return sampler
-
-    def _check_live_progress(self, target_requests: int) -> None:
-        """Turn a capped-but-short live run into a typed, diagnosed failure."""
-        if not self.backend.realtime:
-            return
-        completed = self.metrics.completed_count
-        if completed >= target_requests:
-            return
-        bundle = snapshot_diagnostics(
-            self, reason=f"wall-clock cap hit at {completed}/{target_requests} "
-            "completed requests")
-        raise StallError(
-            f"live run hit its wall-clock cap at {completed}/{target_requests} "
-            f"completed requests; suspect {bundle['suspect']} "
-            f"({bundle['suspect_reason']})",
-            suspect=bundle["suspect"], diagnostics=bundle)
-
-    # ------------------------------------------------------------ lifecycle
-    def close(self) -> None:
-        """Release backend resources (transport tasks, the owned event loop).
-
-        A no-op on the simulator; live deployments must be closed (or used
-        as context managers) so pump/socket tasks and the loop are torn
-        down.
-        """
-        if self.backend.realtime:
-            self.stop_clients()
-        self.backend.teardown(self.sim, [self.network])
-
-    def __enter__(self) -> "Deployment":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def _networks(self) -> list[Network]:
+        return [self.network]
 
     def collect_result(self, warmup_fraction: float = 0.1) -> RunResult:
         """Snapshot metrics and substrate statistics into a :class:`RunResult`."""
@@ -485,9 +511,3 @@ class Deployment:
         return [r for r in self.replicas
                 if r.replica_id in self.safety.honest_replicas]
 
-
-def build_deployment(config: DeploymentConfig,
-                     replica_factory: Optional[ReplicaFactory] = None,
-                     backend: Union[str, Backend, None] = None) -> Deployment:
-    """Convenience constructor mirroring :class:`Deployment`."""
-    return Deployment(config, replica_factory=replica_factory, backend=backend)

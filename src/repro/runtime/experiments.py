@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # runtime imports stay lazy (repro.sharding builds on repro.runtime)
     from ..sharding.config import ShardedConfig
-    from ..sharding.deployment import ShardedRunResult
 
 from ..common.config import (
     DeploymentConfig,
@@ -187,12 +186,9 @@ def build_config(protocol: str, scale: ExperimentScale, *,
 def run_point(config: DeploymentConfig, replica_factory=None,
               backend=None) -> RunResult:
     """Build and run one deployment (on any backend), returning its result."""
-    deployment = Deployment(config, replica_factory=replica_factory,
-                            backend=backend)
-    try:
+    with Deployment(config, replica_factory=replica_factory,
+                    backend=backend) as deployment:
         return deployment.run_until_target()
-    finally:
-        deployment.close()
 
 
 def _row(protocol: str, result: RunResult, **extra) -> dict:
@@ -374,18 +370,6 @@ def build_sharded_config(protocol: str, scale: ExperimentScale, *,
     return ShardedConfig(base=base, num_shards=num_shards)
 
 
-def run_sharded_point(config: "ShardedConfig",
-                      backend=None) -> "ShardedRunResult":
-    """Build and run one sharded deployment, returning its result."""
-    from ..sharding.deployment import ShardedDeployment
-
-    deployment = ShardedDeployment(config, backend=backend)
-    try:
-        return deployment.run_until_target()
-    finally:
-        deployment.close()
-
-
 def figure_sharding_scaleout(scale: ExperimentScale = SMALL_SCALE,
                              protocols: Optional[Iterable[str]] = None,
                              shard_counts: tuple[int, ...] = (1, 2, 4)) -> FigureResult:
@@ -417,42 +401,44 @@ def figure_recovery(scale: ExperimentScale = SMALL_SCALE,
                     hardware_levels: Optional[Iterable[TrustedHardwareSpec]] = None,
                     crash_s: float = 0.8, restart_s: float = 1.4,
                     end_s: float = 2.6,
-                    fsync_latency_us: float = 20.0) -> FigureResult:
+                    fsync_latency_us: float = 20.0,
+                    backend=None) -> FigureResult:
     """Throughput dip and time-to-recover after a crash/restart of a replica.
 
-    A :class:`~repro.recovery.schedule.FaultSchedule` crashes the highest
-    non-primary replica at ``crash_s`` and restarts it at ``restart_s``; the
-    restarted replica replays its durable store, state-transfers the missing
-    suffix from its peers, and rejoins consensus.  Rows report the pre-crash
+    A :class:`~repro.matrix.spec.FaultPlan` (the plan type of the matrix's
+    ``faults`` axis) crashes the highest non-primary replica at ``crash_s``
+    and restarts it at ``restart_s``; the restarted replica replays its
+    durable store, state-transfers the missing suffix from its peers, and
+    rejoins consensus.  Rows report the pre-crash
     throughput, the deepest windowed dip, the post-recovery throughput and
     the time from the restart until throughput is back above 90% of the
     pre-crash rate — for a sequential trust-bft protocol versus a parallel
     FlexiTrust one, at both trusted-hardware persistence levels (same access
     latency, so only the persistence bit differs).  Every point is one fresh
-    simulated run of the whole timeline.
+    run of the whole timeline on ``backend`` (the simulator by default; on
+    a live backend the timeline is wall-clock).
     """
-    from ..recovery import FaultSchedule, crash_at, recovery_summary, restart_at
+    from ..matrix.spec import FaultPlan
+    from ..recovery import recovery_summary
 
     rows = []
     protocols = tuple(protocols or ("minbft", "flexi-bft"))
     hardware_levels = tuple(hardware_levels
                             or (SGX_ENCLAVE_COUNTER, ROLLBACK_PROTECTED_COUNTER))
+    plan = FaultPlan("recovery", crash_s=crash_s, restart_s=restart_s,
+                     end_s=end_s)
     crash_us, restart_us, end_us = seconds(crash_s), seconds(restart_s), seconds(end_s)
     for protocol in protocols:
-        spec = get_protocol(protocol)
-        n = spec.replicas(scale.f)
-        crashed = n - 1
+        crashed = get_protocol(protocol).replicas(scale.f) - 1
         for hardware in hardware_levels:
             config = build_config(protocol, scale, hardware=hardware)
             config = config.with_updates(recovery=RecoveryConfig(
                 fsync_latency_us=fsync_latency_us,
                 replay_latency_us=fsync_latency_us / 4.0))
-            schedule = FaultSchedule((crash_at(crashed, crash_us),
-                                      restart_at(crashed, restart_us)))
-            deployment = Deployment(config, fault_schedule=schedule)
-            deployment.start_clients()
-            deployment.sim.run(until=end_us)
-            result = deployment.collect_result(warmup_fraction=0.0)
+            with Deployment(config, backend=backend,
+                            fault_schedule=plan.schedule(protocol, scale.f)
+                            ) as deployment:
+                result = deployment.run_for(end_us)
             summary = recovery_summary(
                 deployment.metrics.completions, crash_us, restart_us, end_us,
                 warmup_us=0.25 * crash_us)

@@ -192,7 +192,3 @@ class DeploymentSpec:
                                  backend=backend,
                                  observe=self.observe)
 
-
-def build_from_spec(spec: DeploymentSpec) -> Union[Deployment, "ShardedDeployment"]:
-    """Function form of :meth:`DeploymentSpec.build`."""
-    return spec.build()

@@ -452,8 +452,9 @@ def run_open_loop(deployment: Union["Deployment", "ShardedDeployment"],
     """Run one open-loop experiment on an already-built deployment.
 
     Drives the backend's kernel directly for the configured duration —
-    never ``deployment.run_for``, whose live branch starts the closed-loop
-    clients (open-loop lanes have no workload of their own to start).
+    never ``deployment.run_for``, which starts the closed-loop clients on
+    every backend: open-loop lanes have no workload of their own to start,
+    and the engine submits their requests itself.
     """
     engine = attach_open_loop(deployment, config)
     engine.start()

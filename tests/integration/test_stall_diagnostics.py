@@ -6,12 +6,14 @@ live run makes zero progress.  Before this PR that meant silently burning
 the whole wall-clock cap and dying with an anonymous timeout; now the
 watchdog fires early, snapshots the deployment, and the run raises a typed
 :class:`StallError` naming the crashed replica with its queue/view state
-attached.
+attached.  A two-shard deployment with the same two crashes in every
+group stalls through the same driver and names a ``shard<K>/`` replica.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import time
 
 import pytest
@@ -31,20 +33,22 @@ _CAP_US = 10_000_000.0
 _STALL_US = 300_000.0
 
 
-def build_live_deployment(observe, backend="live"):
+def build_live_deployment(observe, backend="live", num_shards=None):
     spec = DeploymentSpec(build_config("pbft", _SCALE), backend=backend,
-                          observe=observe)
+                          observe=observe, num_shards=num_shards)
     return spec.build()
 
 
 @pytest.mark.timeout(60)
 class TestStalledLiveRun:
-    def run_stalled(self):
+    def run_stalled(self, num_shards=None):
         observe = ObservabilityConfig(stall_after_us=_STALL_US)
-        deployment = build_live_deployment(observe)
+        deployment = build_live_deployment(observe, num_shards=num_shards)
         try:
-            deployment.crash_replica(0)
-            deployment.crash_replica(1)
+            # Two of four crashed in every group: no group has a quorum.
+            for group in getattr(deployment, "groups", [deployment]):
+                group.crash_replica(0)
+                group.crash_replica(1)
             started = time.monotonic()
             with pytest.raises(StallError) as excinfo:
                 deployment.run_until_target(max_sim_time_us=_CAP_US)
@@ -53,9 +57,13 @@ class TestStalledLiveRun:
             deployment.close()
         return excinfo.value, elapsed
 
-    def test_watchdog_names_a_crashed_replica_before_the_cap(self):
-        error, elapsed = self.run_stalled()
-        assert error.suspect in {"replica-0", "replica-1"}
+    @pytest.mark.parametrize("num_shards, suspect", [
+        (None, r"replica-[01]"), (2, r"shard[01]/replica-[01]"),
+    ], ids=["plain", "sharded"])
+    def test_watchdog_names_a_crashed_replica_before_the_cap(
+            self, num_shards, suspect):
+        error, elapsed = self.run_stalled(num_shards)
+        assert re.fullmatch(suspect, error.suspect), error.suspect
         # Fired on the stall threshold, nowhere near the 10 s wall cap.
         assert elapsed < 5.0
         bundle = error.diagnostics

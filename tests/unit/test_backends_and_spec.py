@@ -77,6 +77,29 @@ class TestBackendRegistry:
                 kernel.close()
 
 
+class TestBackendRunFor:
+    @pytest.mark.parametrize("name", ["sim", "live"])
+    def test_consecutive_spans_each_advance_the_clock(self, name):
+        backend = resolve_backend(name)
+        kernel = backend.build_kernel()
+        fired = []
+
+        def tick():
+            fired.append(kernel.now)
+            kernel.schedule(1_000.0, tick)
+
+        kernel.schedule(1_000.0, tick)
+        try:
+            backend.run_for(kernel, 20_000.0)
+            first_now, first_fired = kernel.now, len(fired)
+            assert first_now >= 20_000.0 and first_fired > 0
+            backend.run_for(kernel, 20_000.0)
+            assert kernel.now >= first_now + 20_000.0
+            assert len(fired) > first_fired
+        finally:
+            backend.teardown(kernel, [])
+
+
 class TestDeploymentBackendParameter:
     def test_default_backend_is_the_simulator(self):
         deployment = Deployment(_config())

@@ -201,13 +201,13 @@ class TestAbandonment:
     def test_sharded_client_stop_abandons_across_shards(self):
         from repro.runtime.experiments import (ExperimentScale,
                                                build_sharded_config)
-        from repro.sharding.deployment import build_sharded_deployment
+        from repro.sharding.deployment import ShardedDeployment
 
         scale = ExperimentScale(
             name="abandon-test", f=1, num_clients=2, batch_size=4,
             warmup_batches=1, measured_batches=2, worker_threads=4,
             max_sim_seconds=10.0)
-        deployment = build_sharded_deployment(
+        deployment = ShardedDeployment(
             build_sharded_config("minbft", scale, num_shards=2))
         client = deployment.clients[0]
         collector = deployment.metrics.global_collector

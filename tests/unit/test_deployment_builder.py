@@ -50,7 +50,6 @@ class TestDeploymentBuilder:
             workload=WorkloadConfig(num_clients=10, records=50),
             protocol_config=ProtocolConfig(batch_size=2, worker_threads=2))
         deployment = Deployment(config)
-        deployment.start_clients()
         result = deployment.run_for(20_000.0)
         assert result.sim_time_s == pytest.approx(0.02)
         assert deployment.metrics.completed_count > 0

@@ -170,6 +170,11 @@ class TestMalformedFrames:
             self._frame(b"Ms1:a"),                # unterminated dict
             self._frame(b"q"),                    # unknown tag
             self._frame(b"ML1:lT" + b"m"),        # unhashable dict key
+            # Members out of canonical order, or repeated: each would decode
+            # to a value whose encoding differs from the received bytes.
+            self._frame(b"Ms1:bi1:1s1:ai1:2m"),   # dict keys out of order
+            self._frame(b"Ss1:bs1:as"),           # set members out of order
+            self._frame(b"Ms1:ai1:1s1:ai1:2m"),   # repeated dict key
         ]
         for frame in cases:
             with pytest.raises(WireError):
